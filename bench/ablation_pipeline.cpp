@@ -10,9 +10,8 @@
 //  (c) the built-in linear-fragment decision procedure consulted before
 //      Z3 (smt/SimpleSolver.h): disabled, every uncached query goes to
 //      the external solver;
-//  (d) the incremental SMT layer: the session-wide minterm trie
-//      (smt/MintermTrie.h) and scoped push/pop solving, toggled
-//      independently on a determinization-heavy type-check workload.
+//  (d) the session-wide minterm trie (smt/MintermTrie.h), toggled on a
+//      determinization-heavy type-check workload.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +24,6 @@
 #include <chrono>
 #include <iomanip>
 #include <iostream>
-#include <utility>
 
 using namespace fast;
 
@@ -134,19 +132,16 @@ void ablationFastPath() {
   }
 }
 
-void ablationIncrementalSmt() {
-  std::cout << "\n--- (d) minterm trie and incremental scoped solving ---\n";
-  std::cout << std::left << std::setw(10) << "trie" << std::setw(10)
-            << "incr" << std::right << std::setw(14) << "total ms"
-            << std::setw(14) << "core checks" << std::setw(10) << "z3"
+void ablationMintermTrie() {
+  std::cout << "\n--- (d) minterm trie ---\n";
+  std::cout << std::left << std::setw(10) << "trie" << std::right
+            << std::setw(14) << "total ms" << std::setw(14) << "core checks"
+            << std::setw(10) << "z3"
             << std::setw(12) << "subsumed" << std::setw(12) << "trie hits"
             << "\n";
-  const std::pair<bool, bool> Knobs[] = {
-      {false, false}, {true, false}, {true, true}};
-  for (auto [Trie, Incremental] : Knobs) {
+  for (bool Trie : {false, true}) {
     Session S;
     S.engine().Guards.setTrieEnabled(Trie);
-    S.Solv.setIncrementalEnabled(Incremental);
     // Randomized type-check/minimize pipelines: determinization-heavy,
     // so minterm enumeration dominates the solver traffic (the same
     // workload bench/smt_queries measures per configuration in full).
@@ -166,9 +161,9 @@ void ablationIncrementalSmt() {
     const Solver::Stats &St = S.Solv.stats();
     const MintermTrie::Stats &Tr = S.engine().Guards.trie().stats();
     std::cout << std::left << std::setw(10) << (Trie ? "on" : "off")
-              << std::setw(10) << (Incremental ? "on" : "off") << std::right
-              << std::setw(14) << std::fixed << std::setprecision(1)
-              << TotalMs << std::setw(14) << St.CoreChecks << std::setw(10)
+              << std::right << std::setw(14) << std::fixed
+              << std::setprecision(1) << TotalMs << std::setw(14)
+              << St.CoreChecks << std::setw(10)
               << St.Z3Checks + St.Z3ModelChecks << std::setw(12)
               << St.SubsumptionAnswers + Tr.SubsumptionAnswers
               << std::setw(12) << Tr.NodeHits << "\n";
@@ -179,11 +174,10 @@ void ablationIncrementalSmt() {
 
 int main() {
   std::cout << "=== Ablations: composition cleanup, solver caching, the "
-               "built-in decision procedure, and the incremental SMT "
-               "layer ===\n";
+               "built-in decision procedure, and the minterm trie ===\n";
   ablationLookaheadSimplification();
   ablationSolverCache();
   ablationFastPath();
-  ablationIncrementalSmt();
+  ablationMintermTrie();
   return 0;
 }

@@ -1,19 +1,12 @@
 //===- bench/parallel_scaling.cpp - ParallelRunner scaling curves ---------===//
 //
-// Measures the parallel driver on the two embarrassingly parallel
-// workloads the ISSUE's refactor unlocks, plus the intra-construction
-// frontier:
+// Measures the parallel driver on two embarrassingly parallel workloads:
 //
 //   fig6_pairwise       the AR conflict analysis' pairwise compose +
 //                       restrict + emptiness matrix (checkAllConflicts)
 //   random_typecheck    seeded fuzz instances, each type-checked through a
 //                       compose(Det1, Det2) pipeline against its random
 //                       input/output languages
-//   intra_determinize   ONE normalize + determinize over a seeded STA,
-//                       parallelized inside the construction by the warm
-//                       frontier (engine/ParallelExploration.h); the
-//                       thread count is the lane count, and the products
-//                       must be byte-identical at every count
 //
 // Each workload runs sequentially (the legacy single-session path) and at
 // 1/2/4/8 worker threads, verifying that verdicts are identical across
@@ -29,15 +22,11 @@
 // not lose to the sequential path by more than the tolerance below.
 //
 // Usage: parallel_scaling [--smoke] [fig6-taggers] [typecheck-instances]
-//                         [intra-states]
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
 #include "apps/ArTaggers.h"
-#include "automata/Determinize.h"
-#include "automata/StaOps.h"
-#include "engine/Engine.h"
 #include "testing/Instance.h"
 #include "transducers/Ops.h"
 #include "transducers/Parallel.h"
@@ -47,7 +36,6 @@
 #include <functional>
 #include <iomanip>
 #include <iostream>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -88,8 +76,6 @@ struct Measurement {
   double WallMs = 0;
   std::string Verdicts; // order-sensitive fingerprint, e.g. "CC.C.."
   std::string StatsJson;
-  /// ExploreLanes the session built (intra-construction workload only).
-  size_t LanesBuilt = 0;
 };
 
 /// One fig6 pairwise run at \p Threads (0 = sequential path) in a fresh
@@ -146,79 +132,6 @@ Measurement runTypecheck(unsigned Instances, unsigned Threads) {
   return M;
 }
 
-/// A seeded STA over BT (one int attribute; L rank 0, N rank 2) with
-/// interval guards and set-valued lookaheads, sized so the normalize +
-/// determinize pipeline below has a real reachable-state fixpoint to
-/// explore.
-std::shared_ptr<Sta> buildRandomSta(Session &S, const SignatureRef &Sig,
-                                    unsigned Seed, unsigned NumStates) {
-  auto A = std::make_shared<Sta>(Sig);
-  std::mt19937 Rng(Seed);
-  TermRef I = Sig->attrTerm(S.Terms, 0);
-  unsigned Leaf = *Sig->findConstructor("L");
-  unsigned Node = *Sig->findConstructor("N");
-  for (unsigned Q = 0; Q < NumStates; ++Q)
-    A->addState("q" + std::to_string(Q));
-  auto Atom = [&]() -> TermRef {
-    TermRef C = S.Terms.intConst(static_cast<int64_t>(Rng() % 11));
-    return Rng() % 2 ? S.Terms.mkGt(I, C) : S.Terms.mkLe(I, C);
-  };
-  auto Guard = [&]() -> TermRef {
-    TermRef G = Atom();
-    switch (Rng() % 3) {
-    case 0:
-      return G;
-    case 1:
-      return S.Terms.mkAnd(G, Atom());
-    default:
-      return S.Terms.mkOr(G, Atom());
-    }
-  };
-  auto SomeStates = [&]() {
-    StateSet Set;
-    for (unsigned Q = 0; Q < NumStates; ++Q)
-      if (Rng() % 2)
-        Set.push_back(Q);
-    if (Set.empty())
-      Set.push_back(Rng() % NumStates);
-    return Set;
-  };
-  for (unsigned Q = 0; Q < NumStates; ++Q) {
-    A->addRule(Q, Leaf, Guard(), {});
-    A->addRule(Q, Leaf, Guard(), {});
-    A->addRule(Q, Node, Guard(), {SomeStates(), SomeStates()});
-    A->addRule(Q, Node, Guard(), {SomeStates(), SomeStates()});
-    A->addRule(Q, Node, Guard(), {SomeStates(), SomeStates()});
-  }
-  return A;
-}
-
-/// One intra-construction run: a single normalize + determinize pipeline
-/// with \p Lanes warm-frontier lanes (0 = sequential path) in a fresh
-/// session.  The verdict fingerprint hashes the rendered products, so a
-/// lane count that changed even one byte of either automaton trips the
-/// cross-check in main().
-Measurement runIntraConstruction(unsigned States, unsigned Lanes,
-                                 size_t MinInputRules = 1) {
-  Session S;
-  engine::ExplorationLimits &Limits = S.engine().Limits;
-  Limits.ParallelExploration = Lanes;
-  Limits.ParallelMinInputRules = MinInputRules;
-  SignatureRef Sig = TreeSignature::create("BT", {{"i", Sort::Int}},
-                                           {{"L", 0}, {"N", 2}});
-  std::shared_ptr<Sta> A = buildRandomSta(S, Sig, /*Seed=*/2014, States);
-  Clock::time_point Start = Clock::now();
-  TreeLanguage Norm = normalize(S.Solv, TreeLanguage(A, StateSet{0, 1}));
-  DeterminizedSta Det = determinize(S.Solv, Norm.automaton());
-  Measurement M;
-  M.WallMs = msSince(Start);
-  M.Verdicts = std::to_string(std::hash<std::string>{}(
-      Norm.automaton().str() + "|" + Det.Automaton->str()));
-  M.StatsJson = S.stats().json();
-  M.LanesBuilt = S.engine().Lanes.size();
-  return M;
-}
-
 /// Splices bench-level fields into the engine-stats JSON object so each
 /// record is self-describing.
 std::string withBenchFields(const std::string &StatsJson, unsigned Tasks) {
@@ -243,7 +156,6 @@ int main(int Argc, char **Argv) {
   }
   unsigned Taggers = Sizes.size() > 0 ? Sizes[0] : (Smoke ? 8 : 20);
   unsigned Instances = Sizes.size() > 1 ? Sizes[1] : (Smoke ? 12 : 48);
-  unsigned IntraStates = Sizes.size() > 2 ? Sizes[2] : (Smoke ? 4 : 6);
   const std::vector<unsigned> ThreadCounts = {0, 1, 2, 4, 8};
 
   std::cout << "=== parallel scaling: fig6 pairwise (" << Taggers
@@ -265,9 +177,6 @@ int main(int Argc, char **Argv) {
        [&](unsigned T) { return runFig6(Taggers, T); }},
       {"random_typecheck", Instances,
        [&](unsigned T) { return runTypecheck(Instances, T); }},
-      // One task; the thread count is the warm-frontier lane count.
-      {"intra_determinize", 1,
-       [&](unsigned T) { return runIntraConstruction(IntraStates, T); }},
   };
 
   for (const Workload &W : Workloads) {
@@ -309,27 +218,6 @@ int main(int Argc, char **Argv) {
                   << Seq.WallMs << " ms) beyond tolerance\n";
         Ok = false;
       }
-    }
-  }
-
-  // Small-input fallback parity: below the rule threshold the lane knob
-  // must build no lanes and leave the products byte-identical — the
-  // deterministic fallback the replay invariant relies on for inputs too
-  // small to amortize thread setup.
-  {
-    std::cout << "\n-- intra_determinize fallback parity --\n";
-    Measurement Seq = runIntraConstruction(3, /*Lanes=*/0);
-    Measurement Thresholded =
-        runIntraConstruction(3, /*Lanes=*/4, /*MinInputRules=*/1u << 20);
-    if (Thresholded.LanesBuilt != 0) {
-      std::cout << "FAIL: thresholded run built "
-                << Thresholded.LanesBuilt << " lane(s)\n";
-      Ok = false;
-    } else if (Seq.Verdicts != Thresholded.Verdicts) {
-      std::cout << "FAIL: fallback product differs from sequential\n";
-      Ok = false;
-    } else {
-      std::cout << "ok: 0 lanes built, products byte-identical\n";
     }
   }
 

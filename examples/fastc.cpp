@@ -82,13 +82,11 @@
 //                  deterministically.
 //   -j N           evaluate assertions in parallel over N worker threads
 //                  (0 = one per hardware thread).  Declarations still
-//                  compile sequentially in program order — though large
-//                  normalize/determinize fixpoints inside them use N
-//                  solver lanes to pre-warm the session's verdict cache —
-//                  then the session is frozen and each assertion runs in
-//                  a worker context.  Verdicts, diagnostics, witness
-//                  text, and every constructed automaton are identical
-//                  across -j values.
+//                  compile sequentially in program order, then the
+//                  session is frozen and each assertion runs in a worker
+//                  context.  Verdicts, diagnostics, witness text, and
+//                  every constructed automaton are identical across -j
+//                  values.
 //
 //===----------------------------------------------------------------------===//
 

@@ -28,63 +28,36 @@ void GuardCache::clearMemos() {
   ValidMemo.clear();
   ImplMemo.clear();
   Trie = std::make_unique<MintermTrie>(Solv);
-  Trie->setSharedVerdicts(Shared);
+}
+
+template <typename Memo, typename DecideFn>
+bool GuardCache::memoized(Memo &M, const typename Memo::key_type &Key,
+                          DecideFn &&Decide) {
+  count(&ConstructionStats::SatQueries);
+  auto It = M.find(Key);
+  if (It != M.end()) {
+    count(&ConstructionStats::SatCacheHits);
+    return It->second;
+  }
+  auto T0 = std::chrono::steady_clock::now();
+  bool Verdict = Decide();
+  if (ConstructionStats *C = Stats.current())
+    C->SolverQueryUs.record(usSince(T0));
+  M.emplace(Key, Verdict);
+  return Verdict;
 }
 
 bool GuardCache::isSat(TermRef Pred) {
-  count(&ConstructionStats::SatQueries);
-  auto [It, Fresh] = SatMemo.try_emplace(Pred, false);
-  if (!Fresh) {
-    count(&ConstructionStats::SatCacheHits);
-    return It->second;
-  }
-  // Memo miss: a verdict a parallel-frontier lane already decided for the
-  // same structure (by fingerprint) short-circuits the solver; counted as
-  // a cache hit since no decision core ran in this session tier.
-  if (Shared) {
-    if (std::optional<bool> Hit = Shared->lookup(Pred->fingerprint())) {
-      count(&ConstructionStats::SatCacheHits);
-      It->second = *Hit;
-      return It->second;
-    }
-  }
-  auto T0 = std::chrono::steady_clock::now();
-  It->second = Solv.isSat(Pred);
-  recordQueryLatency(usSince(T0));
-  if (Shared)
-    Shared->publish(Pred->fingerprint(), It->second);
-  return It->second;
+  return memoized(SatMemo, Pred, [&] { return Solv.isSat(Pred); });
 }
 
 bool GuardCache::isValid(TermRef Pred) {
-  count(&ConstructionStats::SatQueries);
-  auto [It, Fresh] = ValidMemo.try_emplace(Pred, false);
-  if (!Fresh) {
-    count(&ConstructionStats::SatCacheHits);
-    return It->second;
-  }
-  auto T0 = std::chrono::steady_clock::now();
-  It->second = Solv.isValid(Pred);
-  recordQueryLatency(usSince(T0));
-  return It->second;
+  return memoized(ValidMemo, Pred, [&] { return Solv.isValid(Pred); });
 }
 
 bool GuardCache::implies(TermRef A, TermRef B) {
-  count(&ConstructionStats::SatQueries);
-  auto [It, Fresh] = ImplMemo.try_emplace({A, B}, false);
-  if (!Fresh) {
-    count(&ConstructionStats::SatCacheHits);
-    return It->second;
-  }
-  auto T0 = std::chrono::steady_clock::now();
-  It->second = Solv.implies(A, B);
-  recordQueryLatency(usSince(T0));
-  return It->second;
-}
-
-void GuardCache::recordQueryLatency(double Us) {
-  if (ConstructionStats *C = Stats.current())
-    C->SolverQueryUs.record(Us);
+  return memoized(ImplMemo, std::make_pair(A, B),
+                  [&] { return Solv.implies(A, B); });
 }
 
 const GuardCache::MintermSplit &

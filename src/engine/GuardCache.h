@@ -77,23 +77,8 @@ public:
   /// The session-wide trie (for stats reporting).
   MintermTrie &trie() { return *Trie; }
 
-  /// Attaches the session's shared cross-factory verdict cache (see
-  /// smt/VerdictCache.h) to this cache and its trie (null detaches).
-  /// isSat memo misses then consult the shared cache by structural
-  /// fingerprint before the solver and publish fresh verdicts back, so
-  /// facts flow between the base session and its parallel-frontier
-  /// lanes.  Worker contexts detach instead: sharing verdicts across
-  /// tasks would make which context pays for a query (and thus every
-  /// merged cache-hit counter) depend on scheduling.
-  void setSharedVerdicts(VerdictCache *Cache) {
-    Shared = Cache;
-    Trie->setSharedVerdicts(Cache);
-  }
-  VerdictCache *sharedVerdicts() const { return Shared; }
-
   /// Drops every memoized verdict and the whole minterm trie (split
-  /// index included), re-wiring the fresh trie to the attached shared
-  /// verdict cache, if any.  The pooled worker-context reset path calls
+  /// index included).  The pooled worker-context reset path calls
   /// this before the overlay term factory is reset: the memos and trie
   /// are keyed by TermRefs that are about to dangle, and a reused
   /// context must answer queries exactly as a fresh one would.
@@ -109,12 +94,15 @@ private:
       ++(C->*Counter);
   }
 
-  /// Records a memo-miss query latency on the innermost construction.
-  void recordQueryLatency(double Us);
+  /// The memoized answer for \p Key, or \p Decide's verdict, recorded in
+  /// \p Memo only once Decide has returned: a solver call that throws
+  /// leaves no entry behind, so the next query asks again.
+  template <typename Memo, typename DecideFn>
+  bool memoized(Memo &M, const typename Memo::key_type &Key,
+                DecideFn &&Decide);
 
   Solver &Solv;
   StatsRegistry &Stats;
-  VerdictCache *Shared = nullptr;
   std::unordered_map<TermRef, bool> SatMemo;
   std::unordered_map<TermRef, bool> ValidMemo;
   std::map<std::pair<TermRef, TermRef>, bool> ImplMemo;

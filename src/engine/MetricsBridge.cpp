@@ -124,11 +124,8 @@ void fast::engine::collectSessionMetrics(const SessionEngine &Eng,
                   "Z3 checks issued on behalf of getModel()",
                   double(Q.Z3ModelChecks));
   Snap.addCounter("fast_solver_scoped_checks_total",
-                  "checkSat calls under the scoped incremental API",
+                  "region checks from minterm-trie descent",
                   double(Q.ScopedChecks));
-  Snap.addCounter("fast_solver_literals_asserted_total",
-                  "assertTerm calls (one literal each)",
-                  double(Q.LiteralsAsserted));
   Snap.addCounter("fast_solver_subsumption_answers_total",
                   "Queries answered by the syntactic implication check",
                   double(Q.SubsumptionAnswers));
@@ -323,8 +320,6 @@ std::string fast::engine::legacySolverLine(const MetricsSnapshot &Snap) {
       << " fast-path, "
       << uint64_t(plainValue(Snap, "fast_solver_scoped_checks_total"))
       << " scoped-checks, "
-      << uint64_t(plainValue(Snap, "fast_solver_literals_asserted_total"))
-      << " literals-asserted, "
       << uint64_t(plainValue(Snap, "fast_solver_subsumption_answers_total"))
       << " subsumption-answers";
   return Out.str();

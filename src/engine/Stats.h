@@ -66,7 +66,7 @@ struct ConstructionStats {
   /// Trie region nodes revisited with a memoized verdict.
   RelaxedCell<uint64_t> TrieNodeHits;
   /// Trie node verdicts answered by ancestor-literal subsumption instead
-  /// of a solver checkSat.
+  /// of a solver region check.
   RelaxedCell<uint64_t> TrieSubsumed;
   /// Inclusive wall time spent inside the construction, in milliseconds.
   /// Nested constructions are included in their parents' time but record

@@ -13,7 +13,7 @@
 ///    with exploration worklist batches and minterm splits as inner spans
 ///    and counter deltas attached to every span end;
 ///  - complete leaf spans ('X' events) for individual solver isSat /
-///    scoped checkSat calls that reach Z3;
+///    getModel calls that reach Z3;
 ///  - instant events ('i') for progress heartbeats and budget exhaustion.
 ///
 /// Tracing is compiled in but disabled by default: every hook first checks

@@ -14,8 +14,9 @@ using namespace fast;
 struct MintermTrie::RegionNode {
   /// -1 undecided, 0 unsat, 1 sat.  Never reset once decided.
   int Verdict = -1;
-  /// The region as a conjunction term, built lazily the first time an
-  /// enumeration emits this node as a leaf.
+  /// The region as a conjunction term, built by the solver check that
+  /// decides this node or, failing that, when an enumeration first emits
+  /// it as a leaf.
   TermRef Region = nullptr;
   /// Children keyed by the guard refined next; [0] positive, [1] negative.
   std::unordered_map<TermRef, std::array<std::unique_ptr<RegionNode>, 2>>
@@ -94,41 +95,38 @@ void MintermTrie::descend(RegionNode &Node, std::span<const TermRef> Guards,
   // computeMinterms loop, so differential checks compare sequences.
   for (int Branch = 0; Branch < 2; ++Branch) {
     bool Positive = Branch == 0;
-    TermRef Lit = Positive ? G : F.mkNot(G);
     std::unique_ptr<RegionNode> &ChildPtr = Branches[Branch];
     if (!ChildPtr)
       ChildPtr = std::make_unique<RegionNode>();
     RegionNode &Child = *ChildPtr;
-    Solv.push();
-    Solv.assertTerm(Lit);
+    Lits.push_back(Positive ? G : F.mkNot(G));
     if (Child.Verdict < 0) {
-      Child.Verdict = decideVerdict(Lits, Lit);
+      Child.Verdict = decideVerdict(Child, Lits);
       ++Counters.NodesDecided;
     } else {
       ++Counters.NodeHits;
     }
     if (Child.Verdict == 1) {
-      Lits.push_back(Lit);
       Pols.push_back(Positive);
       descend(Child, Guards, Depth + 1, Lits, Pols, Out);
       Pols.pop_back();
-      Lits.pop_back();
     }
-    Solv.pop();
+    Lits.pop_back();
   }
 }
 
-int MintermTrie::decideVerdict(std::span<const TermRef> AncestorLits,
-                               TermRef Lit) {
+int MintermTrie::decideVerdict(RegionNode &Node,
+                               std::span<const TermRef> Lits) {
   TermFactory &F = Solv.factory();
+  TermRef Lit = Lits.back();
   TermRef NotLit = F.mkNot(Lit);
   // Subsumption against the ancestor literals: when a single ancestor
-  // refutes or implies the new literal, the verdict needs no checkSat at
-  // all — in particular no Z3 call when the whole region conjunction is
+  // refutes or implies the new literal, the verdict needs no solver call
+  // at all — in particular no Z3 call when the whole region conjunction is
   // outside the built-in fragment but the deciding pair is not.  The
   // parent region is known satisfiable (descent only enters sat nodes),
   // so a redundant literal leaves the region equal to its parent.
-  for (TermRef A : AncestorLits) {
+  for (TermRef A : Lits.first(Lits.size() - 1)) {
     if (Solv.impliesFast(A, NotLit) == Trilean::True) {
       ++Counters.SubsumptionAnswers;
       return 0;
@@ -138,22 +136,8 @@ int MintermTrie::decideVerdict(std::span<const TermRef> AncestorLits,
       return 1;
     }
   }
-  if (Shared) {
-    // The region is the literal *set* on the node's root path; its key is
-    // the order-independent fingerprint sum, so a lane that explored the
-    // same region over its own factory (with a different descent order of
-    // equal structure) produced the same key.
-    TermFingerprint Key;
-    for (TermRef A : AncestorLits)
-      Key.accumulate(A->fingerprint());
-    Key.accumulate(Lit->fingerprint());
-    if (std::optional<bool> Hit = Shared->lookup(Key)) {
-      ++Counters.SharedVerdictHits;
-      return *Hit ? 1 : 0;
-    }
-    bool Sat = Solv.checkSat();
-    Shared->publish(Key, Sat);
-    return Sat ? 1 : 0;
-  }
-  return Solv.checkSat() ? 1 : 0;
+  // One one-shot check on the region's conjunction, which the node keeps
+  // for when an enumeration emits it as a leaf.
+  Node.Region = F.mkAnd(Lits);
+  return Solv.isSatRegion(Node.Region) ? 1 : 0;
 }

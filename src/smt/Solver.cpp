@@ -87,25 +87,11 @@ struct Solver::Impl {
   /// One long-lived solver; each query runs under push/pop, which is much
   /// cheaper than constructing a fresh solver per query.
   std::unique_ptr<z3::solver> Sol;
-  /// A second long-lived solver dedicated to the scoped (incremental)
-  /// API, so one-shot isSat queries interleaved with a trie descent never
-  /// disturb the descent's frame stack.
-  std::unique_ptr<z3::solver> ScopedSol;
-  /// How many logical scopes (ScopeStack indices >= 1) currently have a
-  /// materialized Z3 frame in ScopedSol.  Frames are created lazily by
-  /// checkSat() and popped eagerly by pop().
-  size_t SyncedFrames = 0;
 
   z3::solver &solver() {
     if (!Sol)
       Sol = std::make_unique<z3::solver>(Ctx);
     return *Sol;
-  }
-
-  z3::solver &scopedSolver() {
-    if (!ScopedSol)
-      ScopedSol = std::make_unique<z3::solver>(Ctx);
-    return *ScopedSol;
   }
 
   z3::sort z3Sort(Sort S) {
@@ -221,7 +207,6 @@ struct Solver::Impl {
 
 Solver::Solver(TermFactory &Factory, unsigned TimeoutMs)
     : Factory(Factory), Z3(std::make_unique<Impl>()), TimeoutMs(TimeoutMs) {
-  ScopeStack.emplace_back(); // The permanent base scope.
   if (TimeoutMs != 0) {
     z3::params P(Z3->Ctx);
     // Applied per-solver below; keep the configured value in the context's
@@ -247,7 +232,6 @@ void Solver::Stats::mergeFrom(const Stats &Other) {
   Z3Checks += Other.Z3Checks;
   Z3ModelChecks += Other.Z3ModelChecks;
   ScopedChecks += Other.ScopedChecks;
-  LiteralsAsserted += Other.LiteralsAsserted;
   SubsumptionAnswers += Other.SubsumptionAnswers;
   ImplicationQueries += Other.ImplicationQueries;
   ImplicationCacheHits += Other.ImplicationCacheHits;
@@ -264,20 +248,15 @@ void Solver::setCacheEnabled(bool Enabled) {
 }
 
 void Solver::resetForReuse() {
-  assert(numScopes() == 0 && "resetForReuse with open assertion scopes");
   SatCache.clear();
   ValidCache.clear();
   ImplCache.clear();
-  ScopeStack.assign(1, AssertScope{});
   // The Z3 context survives (creating one is the constant this reset
-  // exists to avoid paying per task); the solver objects hanging off it
-  // are dropped and lazily rebuilt, which also releases any assertions
-  // synced into the scoped solver's frames.
+  // exists to avoid paying per task); the solver object hanging off it is
+  // dropped and lazily rebuilt.
   Z3->Memo.clear();
   Z3->MemoExprs.clear();
   Z3->Sol.reset();
-  Z3->ScopedSol.reset();
-  Z3->SyncedFrames = 0;
 }
 
 bool Solver::isSat(TermRef Pred) {
@@ -499,157 +478,6 @@ bool Solver::conjunctPairRefuted(TermRef Conj) {
       if (impliesFast(Ops[I], Factory.mkNot(Ops[J])) == Trilean::True)
         return true;
   return false;
-}
-
-//===----------------------------------------------------------------------===//
-// Incremental (scoped) solving
-//===----------------------------------------------------------------------===//
-
-void Solver::push() { ScopeStack.emplace_back(); }
-
-void Solver::pop() {
-  if (ScopeStack.size() <= 1)
-    return; // Pop past empty: tolerated no-op.
-  size_t Top = ScopeStack.size() - 1;
-  if (Z3->SyncedFrames >= Top) {
-    try {
-      Z3->scopedSolver().pop();
-    } catch (const z3::exception &) {
-    }
-    Z3->SyncedFrames = Top - 1;
-  }
-  ScopeStack.pop_back();
-}
-
-void Solver::assertTerm(TermRef T) {
-  assert(T->sort() == Sort::Bool && "asserting a non-boolean term");
-  ++Counters.LiteralsAsserted;
-  ScopeStack.back().Terms.push_back(T);
-}
-
-bool Solver::checkSat() {
-  if (!IncrementalEnabled) {
-    // Ablation: rebuild the full conjunction and answer through the
-    // one-shot path (which counts this as its own query).
-    std::vector<TermRef> All;
-    for (const AssertScope &Scope : ScopeStack)
-      All.insert(All.end(), Scope.Terms.begin(), Scope.Terms.end());
-    return isSat(Factory.mkAnd(All));
-  }
-
-  ++Counters.Queries;
-  ++Counters.ScopedChecks;
-  std::vector<TermRef> View;
-  for (const AssertScope &Scope : ScopeStack)
-    for (TermRef T : Scope.Terms) {
-      if (T->isFalse()) {
-        ++Counters.UnsatAnswers;
-        ++Counters.TrivialAnswers;
-        return false;
-      }
-      if (!T->isTrue())
-        View.push_back(T);
-    }
-  if (View.empty()) {
-    ++Counters.SatAnswers;
-    ++Counters.TrivialAnswers;
-    return true;
-  }
-
-  // Scoped answers share the one-shot SatCache through the flattened
-  // conjunction (hash-consing makes the key cheap): a region decided
-  // during trie descent answers later one-shot guard queries over the
-  // same conjunction for free, and vice versa.
-  TermRef Conj = View.size() == 1 ? View.front() : Factory.mkAnd(View);
-  if (Conj->isTrue() || Conj->isFalse()) { // mkAnd folds e.g. a && !a.
-    ++(Conj->isTrue() ? Counters.SatAnswers : Counters.UnsatAnswers);
-    ++Counters.TrivialAnswers;
-    return Conj->isTrue();
-  }
-  if (CacheEnabled) {
-    auto It = SatCache.find(Conj);
-    if (It != SatCache.end()) {
-      ++Counters.CacheHits;
-      return It->second;
-    }
-  }
-
-  if (FastPathEnabled) {
-    switch (simpleCheckSat(std::span<const TermRef>(View))) {
-    case SimpleResult::Sat:
-      ++Counters.SatAnswers;
-      ++Counters.FastPathAnswers;
-      ++Counters.CoreChecks;
-      if (CacheEnabled)
-        SatCache.emplace(Conj, true);
-      return true;
-    case SimpleResult::Unsat:
-      ++Counters.UnsatAnswers;
-      ++Counters.FastPathAnswers;
-      ++Counters.CoreChecks;
-      if (CacheEnabled)
-        SatCache.emplace(Conj, false);
-      return false;
-    case SimpleResult::Unknown:
-      break;
-    }
-  }
-
-  // Same pairwise refutation pre-check as the one-shot core, on the
-  // flattened conjunction: a literal that is itself a conjunction may
-  // hide a refuting pair the literal-level view cannot see.
-  if (conjunctPairRefuted(Conj)) {
-    ++Counters.UnsatAnswers;
-    ++Counters.SubsumptionAnswers;
-    if (CacheEnabled)
-      SatCache.emplace(Conj, false);
-    return false;
-  }
-
-  auto T0 = std::chrono::steady_clock::now();
-  double SpanStart = Trace && Trace->active() ? Trace->nowUs() : 0;
-  try {
-    z3::solver &S = Z3->scopedSolver();
-    // Lazy materialization: one frame per open scope, one add() per
-    // not-yet-synced assertion.  Already-synced prefixes are reused
-    // as-is, so a descent re-checking under a shared prefix re-sends
-    // nothing.
-    for (size_t I = 0; I < ScopeStack.size(); ++I) {
-      if (I >= 1 && Z3->SyncedFrames < I) {
-        S.push();
-        Z3->SyncedFrames = I;
-      }
-      AssertScope &Scope = ScopeStack[I];
-      for (; Scope.Synced < Scope.Terms.size(); ++Scope.Synced)
-        S.add(Z3->translate(Scope.Terms[Scope.Synced]));
-    }
-    ++Counters.CoreChecks;
-    ++Counters.Z3Checks;
-    z3::check_result Answer = S.check();
-    observeZ3Check("checkSat", Conj, usSince(T0), SpanStart);
-    switch (Answer) {
-    case z3::sat:
-      ++Counters.SatAnswers;
-      if (CacheEnabled)
-        SatCache.emplace(Conj, true);
-      return true;
-    case z3::unsat:
-      ++Counters.UnsatAnswers;
-      if (CacheEnabled)
-        SatCache.emplace(Conj, false);
-      return false;
-    case z3::unknown:
-      ++Counters.UnknownAnswers;
-      // Conservative; cached so repeats do not re-pay the Z3 timeout,
-      // matching the one-shot path's treatment of unknown.
-      if (CacheEnabled)
-        SatCache.emplace(Conj, true);
-      return true;
-    }
-  } catch (const z3::exception &) {
-    ++Counters.UnknownAnswers;
-  }
-  return true; // Conservative.
 }
 
 std::optional<AttrModel> Solver::getModel(TermRef Pred) {

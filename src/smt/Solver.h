@@ -94,32 +94,13 @@ public:
   /// are memoized in the implication cache shared with implies().
   Trilean impliesFast(TermRef A, TermRef B);
 
-  /// --- Incremental (scoped) solving --------------------------------------
-  ///
-  /// The minterm trie descends guard prefixes by pushing one scope and
-  /// asserting one literal per edge; verdicts come from checkSat() on the
-  /// currently asserted set.  Scopes are pure bookkeeping until a
-  /// checkSat() actually has to consult Z3, at which point the scoped Z3
-  /// solver is synchronized lazily: one Z3 frame per open scope, one
-  /// add() per not-yet-synced assertion — never a rebuilt conjunction.
-
-  /// Opens a new assertion scope.
-  void push();
-  /// Discards the innermost scope (and its Z3 frame, if materialized).
-  /// Popping with no open scope is a tolerated no-op.  pop() never
-  /// invalidates verdicts memoized by higher layers: a verdict is a fact
-  /// about the asserted (immutable, hash-consed) literals themselves, not
-  /// about transient solver state.
-  void pop();
-  /// Asserts \p T in the innermost scope (the permanent base scope when
-  /// no push is active).
-  void assertTerm(TermRef T);
-  /// Satisfiability of the conjunction of all currently asserted terms.
-  /// The built-in procedure sees the asserted literals as a span (no And
-  /// term is built); unknown is conservatively sat, as in isSat().
-  bool checkSat();
-  /// Open scopes, excluding the permanent base scope.
-  size_t numScopes() const { return ScopeStack.size() - 1; }
+  /// isSat(\p Region), counted in Stats::ScopedChecks.  The minterm
+  /// trie (smt/MintermTrie.h) decides each region through this entry, one
+  /// call on the conjunction of the region's literals.
+  bool isSatRegion(TermRef Region) {
+    ++Counters.ScopedChecks;
+    return isSat(Region);
+  }
 
   /// Returns a model of \p Pred, or nullopt if unsat (or unknown).
   std::optional<AttrModel> getModel(TermRef Pred);
@@ -143,10 +124,8 @@ public:
     RelaxedCell<uint64_t> Z3Checks;
     /// Z3 check() invocations issued on behalf of getModel().
     RelaxedCell<uint64_t> Z3ModelChecks;
-    /// checkSat() calls under the scoped (incremental) API.
+    /// Region checks from minterm-trie descent (isSatRegion calls).
     RelaxedCell<uint64_t> ScopedChecks;
-    /// assertTerm() calls (one literal each).
-    RelaxedCell<uint64_t> LiteralsAsserted;
     /// Queries answered by the cheap syntactic/fragment implication check
     /// (impliesFast) instead of a decision core.
     RelaxedCell<uint64_t> SubsumptionAnswers;
@@ -154,8 +133,8 @@ public:
     RelaxedCell<uint64_t> ImplicationQueries;
     /// ... of which were answered from the implication cache.
     RelaxedCell<uint64_t> ImplicationCacheHits;
-    /// Latency of individual Z3 check() invocations (one-shot, scoped,
-    /// and model checks), per call; percentile source for the benchmarks.
+    /// Latency of individual Z3 check() invocations (satisfiability and
+    /// model checks), per call; percentile source for the benchmarks.
     obs::LatencyHistogram Z3CheckUs;
 
     /// Accumulates \p Other (counter sums, histogram merge); the
@@ -168,11 +147,10 @@ public:
   /// Returns the solver to its just-constructed state while keeping the
   /// (expensive-to-create) Z3 context: drops every sat/validity/
   /// implication cache entry, the term-to-Z3 translation memo, and the
-  /// lazily built Z3 solver objects, and re-establishes the empty base
-  /// assertion scope.  The pooled worker-context reset path calls this
-  /// before its overlay term factory is reset, so no cache survives that
-  /// is keyed by about-to-dangle TermRefs.  Requires balanced scopes
-  /// (numScopes() == 0).  Stats are left alone (resetStats is separate).
+  /// lazily built Z3 solver object.  The pooled worker-context reset path
+  /// calls this before its overlay term factory is reset, so no cache
+  /// survives that is keyed by about-to-dangle TermRefs.  Stats are left
+  /// alone (resetStats is separate).
   void resetForReuse();
   /// Join-point merge of a worker solver's counters into this solver's.
   void mergeStatsFrom(const Solver &Other) { Counters.mergeFrom(Other.Counters); }
@@ -186,12 +164,6 @@ public:
   /// Z3 (smt/SimpleSolver.h); on by default (ablation knob).
   void setFastPathEnabled(bool Enabled) { FastPathEnabled = Enabled; }
   bool fastPathEnabled() const { return FastPathEnabled; }
-
-  /// Enables/disables incremental solving (ablation knob).  Disabled,
-  /// checkSat() rebuilds the full conjunction term and answers through
-  /// the one-shot isSat() path, reproducing the pre-incremental layer.
-  void setIncrementalEnabled(bool Enabled) { IncrementalEnabled = Enabled; }
-  bool incrementalEnabled() const { return IncrementalEnabled; }
 
   /// The per-query Z3 timeout this solver was created with, so worker
   /// solvers can be configured identically to the base session's.
@@ -212,16 +184,8 @@ public:
 private:
   struct Impl;
 
-  /// One logical assertion scope.  Synced counts the prefix of Terms
-  /// already added to the scoped Z3 solver; the rest is materialized
-  /// lazily by the next Z3-needing checkSat().
-  struct AssertScope {
-    std::vector<TermRef> Terms;
-    size_t Synced = 0;
-  };
-
   /// True when two conjuncts of \p Conj refute each other by the cheap
-  /// implication check; shared by the one-shot and scoped sat cores.
+  /// implication check.
   bool conjunctPairRefuted(TermRef Conj);
 
   struct TermPairHash {
@@ -250,11 +214,8 @@ private:
   /// trie descent does not retry the fragment on every visit.
   std::unordered_map<std::pair<TermRef, TermRef>, Trilean, TermPairHash>
       ImplCache;
-  /// ScopeStack[0] is the permanent base scope and always present.
-  std::vector<AssertScope> ScopeStack;
   bool CacheEnabled = true;
   bool FastPathEnabled = true;
-  bool IncrementalEnabled = true;
   unsigned TimeoutMs = 0;
   Stats Counters;
 };

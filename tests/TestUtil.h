@@ -51,6 +51,18 @@ inline SignatureRef makeHtmlSig() {
       {{"nil", 0}, {"val", 1}, {"attr", 2}, {"node", 3}});
 }
 
+/// `0 <= (x+2)*2^62 + (x+1)*2^62 + x*2^62` over integer attribute \p X:
+/// satisfiable (x = 0), but the built-in decision procedure overflows its
+/// Rational arithmetic on it and throws ArithmeticError.
+inline TermRef makeOverflowingGuard(TermFactory &F, TermRef X) {
+  TermRef P62 = F.intConst(int64_t(1) << 62);
+  auto Scaled = [&](int64_t K) {
+    return F.mkMul(F.mkAdd(X, F.intConst(K)), P62);
+  };
+  std::vector<TermRef> Sum = {Scaled(2), Scaled(1), Scaled(0)};
+  return F.mkLe(F.intConst(0), F.mkAdd(Sum));
+}
+
 /// Builds a BT leaf `L[i]`.
 inline TreeRef btLeaf(Session &S, const SignatureRef &Sig, int64_t I) {
   return S.Trees.makeLeaf(Sig, *Sig->findConstructor("L"),

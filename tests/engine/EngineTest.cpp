@@ -188,6 +188,22 @@ TEST(ExplorationTest, RunOrThrowRaisesTypedError) {
   }
 }
 
+TEST(GuardCacheTest, ThrowingQueryLeavesNoMemoEntry) {
+  // A query that throws must not be memoized as unsat: the repeat throws
+  // again instead of silently answering false.
+  TermFactory F;
+  Solver Solv(F);
+  StatsRegistry Stats;
+  GuardCache Guards(Solv, Stats);
+  TermRef Overflowing = makeOverflowingGuard(F, F.attr(0, Sort::Int, "x"));
+  EXPECT_THROW(Guards.isSat(Overflowing), ArithmeticError);
+  EXPECT_THROW(Guards.isSat(Overflowing), ArithmeticError);
+  EXPECT_THROW(Guards.isValid(Overflowing), ArithmeticError);
+  EXPECT_THROW(Guards.isValid(Overflowing), ArithmeticError);
+  EXPECT_THROW(Guards.implies(F.trueTerm(), Overflowing), ArithmeticError);
+  EXPECT_THROW(Guards.implies(F.trueTerm(), Overflowing), ArithmeticError);
+}
+
 class EngineIntegrationTest : public ::testing::Test {
 protected:
   Session S;

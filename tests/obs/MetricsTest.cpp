@@ -218,8 +218,7 @@ TEST(StatsShimTest, LegacyRenderersAreByteCompatible) {
   Line << "solver: " << Sv.Queries << " queries, " << Sv.CacheHits
        << " cache-hits, " << Sv.CoreChecks << " core-checks, " << Sv.Z3Checks
        << " z3-checks, " << Sv.FastPathAnswers << " fast-path, "
-       << Sv.ScopedChecks << " scoped-checks, " << Sv.LiteralsAsserted
-       << " literals-asserted, " << Sv.SubsumptionAnswers
+       << Sv.ScopedChecks << " scoped-checks, " << Sv.SubsumptionAnswers
        << " subsumption-answers";
   EXPECT_EQ(engine::legacySolverLine(Snap), Line.str());
 }

@@ -2,14 +2,17 @@
 //
 // The session-wide minterm trie: partition correctness, differential
 // equality against the naive computeMinterms oracle on randomized guard
-// sets, split-index reuse, prefix sharing across overlapping sets, and
-// verdict stability across solver pops.
+// sets, split-index reuse, prefix sharing across overlapping sets,
+// verdict stability across interleaved one-shot queries, and recovery
+// after a region check throws.
 //
 //===----------------------------------------------------------------------===//
 
 #include "smt/MintermTrie.h"
 
+#include "TestUtil.h"
 #include "smt/Minterms.h"
+#include "support/Rational.h"
 #include "testing/Instance.h"
 #include "transducers/RandomAutomata.h"
 
@@ -159,23 +162,21 @@ TEST_F(MintermTrieTest, TrieOffPathMatchesTrieOn) {
 
 TEST_F(MintermTrieTest, SubsumedBranchesSkipSolverChecks) {
   // x<0 implies x<10: under the +(x<0) branch the second guard's polarity
-  // is forced, so the cheap implication check answers without checkSat.
+  // is forced, so the cheap implication check answers without a solver call.
   std::vector<TermRef> Guards = canonical({intLt(X, 0), intLt(X, 10)});
   Trie.minterms(Guards);
   EXPECT_GT(Trie.stats().SubsumptionAnswers, 0u);
 }
 
-TEST_F(MintermTrieTest, VerdictsSurvivePopsAndInterleavedScopes) {
-  // Enumeration descends via push/pop; interleave explicit scope work and
+TEST_F(MintermTrieTest, VerdictsSurviveInterleavedOneShotQueries) {
+  // Interleave one-shot solver queries between enumerations and
   // re-enumerate a superset: memoized verdicts must still be correct.
   TermRef A = intLt(X, 2);
   TermRef B = F.mkEq(Tag, F.stringConst("div"));
   Trie.minterms(canonical({A}));
 
-  S.push();
-  S.assertTerm(F.mkLt(F.intConst(100), X));
-  EXPECT_TRUE(S.checkSat());
-  S.pop();
+  EXPECT_TRUE(S.isSat(F.mkLt(F.intConst(100), X)));
+  EXPECT_FALSE(S.isSat(F.mkAnd(A, F.mkLt(F.intConst(100), X))));
 
   const MintermSplit &Split = Trie.minterms(canonical({A, B}));
   EXPECT_EQ(Split.Regions.size(), 4u);
@@ -184,6 +185,20 @@ TEST_F(MintermTrieTest, VerdictsSurvivePopsAndInterleavedScopes) {
   const MintermSplit &Single = Trie.minterms(canonical({A}));
   EXPECT_EQ(Single.Regions.size(), 2u);
   expectPartition(Single.Regions);
+}
+
+TEST_F(MintermTrieTest, DescentRecoversAfterARegionCheckThrows) {
+  // A region check that throws aborts its enumeration, but must leave no
+  // literal behind that later, unrelated enumerations trip over.
+  TermRef Small = intLt(X, 5);
+  TermRef Overflowing = test::makeOverflowingGuard(F, X);
+  EXPECT_THROW(Trie.minterms(canonical({Small, Overflowing})),
+               ArithmeticError);
+
+  const MintermSplit &Split =
+      Trie.minterms(canonical({F.mkLt(F.intConst(10), X)}));
+  EXPECT_EQ(Split.Regions.size(), 2u);
+  expectPartition(Split.Regions);
 }
 
 } // namespace

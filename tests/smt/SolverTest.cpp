@@ -16,6 +16,14 @@ protected:
   TermRef X = F.attr(0, Sort::Int, "x");
   TermRef Tag = F.attr(1, Sort::String, "tag");
   TermRef R = F.attr(2, Sort::Real, "r");
+
+  TermRef intLt(TermRef A, int64_t B) { return F.mkLt(A, F.intConst(B)); }
+  TermRef intGt(TermRef A, int64_t B) { return F.mkLt(F.intConst(B), A); }
+  /// x * x == c: non-linear, outside the built-in fragment, so checks on
+  /// it must reach Z3.
+  TermRef squareIs(int64_t C) {
+    return F.mkEq(F.mkMul(X, X), F.intConst(C));
+  }
 };
 
 TEST_F(SolverTest, BasicSat) {
@@ -126,6 +134,72 @@ TEST_F(SolverTest, StringDisequalities) {
   ASSERT_TRUE(Model.has_value());
   EXPECT_NE(Model->at(Tag).getString(), "a");
   EXPECT_NE(Model->at(Tag).getString(), "b");
+}
+
+TEST_F(SolverTest, ImpliesAnsweredBySubsumptionAndCached) {
+  TermRef A = intGt(X, 0);
+  TermRef B = intLt(X, 10);
+  TermRef Conj = F.mkAnd(A, B);
+  uint64_t CoreBefore = S.stats().CoreChecks;
+  // A conjunction implies its own conjunct: syntactic, no decision core.
+  EXPECT_TRUE(S.implies(Conj, A));
+  EXPECT_EQ(S.stats().CoreChecks, CoreBefore);
+  EXPECT_GT(S.stats().SubsumptionAnswers, 0u);
+  // A disjunct implies its disjunction.
+  EXPECT_TRUE(S.implies(A, F.mkOr(A, intLt(X, -5))));
+  EXPECT_EQ(S.stats().CoreChecks, CoreBefore);
+  // Fragment-decided implication: x < 4 => x < 10 without a core check.
+  EXPECT_TRUE(S.implies(intLt(X, 4), B));
+  EXPECT_EQ(S.stats().CoreChecks, CoreBefore);
+
+  // Repeats hit the implication cache.
+  uint64_t HitsBefore = S.stats().ImplicationCacheHits;
+  EXPECT_TRUE(S.implies(intLt(X, 4), B));
+  EXPECT_GT(S.stats().ImplicationCacheHits, HitsBefore);
+}
+
+TEST_F(SolverTest, ImpliesOutsideFragmentStillCorrect) {
+  // x*x == 4 && x > 0  =>  x < 3 (x must be 2): needs the full solver
+  // once, then answers from the cache.
+  TermRef Sq = F.mkAnd(squareIs(4), intGt(X, 0));
+  EXPECT_TRUE(S.implies(Sq, intLt(X, 3)));
+  EXPECT_FALSE(S.implies(Sq, intLt(X, 2)));
+  uint64_t Z3Before = S.stats().Z3Checks;
+  EXPECT_TRUE(S.implies(Sq, intLt(X, 3)));
+  EXPECT_FALSE(S.implies(Sq, intLt(X, 2)));
+  EXPECT_EQ(S.stats().Z3Checks, Z3Before);
+}
+
+TEST_F(SolverTest, ValidityCachedAcrossRepeats) {
+  TermRef Tauto = F.mkOr(intLt(X, 10), intGt(X, 5));
+  EXPECT_TRUE(S.isValid(Tauto));
+  uint64_t HitsBefore = S.stats().CacheHits;
+  EXPECT_TRUE(S.isValid(Tauto));
+  EXPECT_GT(S.stats().CacheHits, HitsBefore);
+  EXPECT_FALSE(S.isValid(intLt(X, 10)));
+}
+
+TEST_F(SolverTest, EquivalenceViaTwoImplications) {
+  TermRef P = intLt(X, 4);
+  TermRef Q = F.mkLe(X, F.intConst(3));
+  EXPECT_TRUE(S.areEquivalent(P, Q));
+  EXPECT_TRUE(S.areEquivalent(P, P));
+  EXPECT_FALSE(S.areEquivalent(P, intLt(X, 5)));
+}
+
+TEST_F(SolverTest, ConjunctPairRefutationAvoidsZ3) {
+  // The conjunction contains a non-linear atom (outside the built-in
+  // fragment), but two string conjuncts refute each other; the
+  // subsumption pre-check must answer unsat without any Z3 call.
+  std::vector<TermRef> Conjuncts = {F.mkEq(Tag, F.stringConst("a")),
+                                    F.mkEq(Tag, F.stringConst("b")),
+                                    squareIs(4)};
+  TermRef Conj = F.mkAnd(Conjuncts);
+  ASSERT_FALSE(Conj->isFalse()) << "factory folded the test conjunction";
+  uint64_t Z3Before = S.stats().Z3Checks;
+  EXPECT_FALSE(S.isSat(Conj));
+  EXPECT_EQ(S.stats().Z3Checks, Z3Before);
+  EXPECT_GT(S.stats().SubsumptionAnswers, 0u);
 }
 
 } // namespace
