@@ -18,9 +18,11 @@
 //   --stats        print the exploration-engine statistics (states
 //                  explored, rules emitted, cache hit rates, query-latency
 //                  percentiles) per construction after the program runs,
-//                  followed by the slowest solver queries of the session.
-//   --stats-json   print the same statistics as one machine-readable JSON
-//                  object on stdout.
+//                  straight from the session's StatsRegistry, then one
+//                  `solver:` traffic line and the slowest solver queries
+//                  of the session.
+//   --stats-json   print the same per-construction statistics as one
+//                  machine-readable JSON object on stdout.
 //   --metrics=FILE write the session's unified metrics snapshot (engine,
 //                  solver, VM, flight-recorder, and program counters) on
 //                  exit: FILE ending in ".json" gets the versioned JSON
@@ -69,7 +71,8 @@
 //                  "fastc: serving on 127.0.0.1:PORT").  Endpoints:
 //                  /metrics[.json] (live scrape, ?delta=1 for the change
 //                  since the previous delta scrape), /healthz, /readyz
-//                  (503 until the session's shared tier freezes),
+//                  (503 until the session's shared tier freezes and the
+//                  program, with any -j assertion fan-out, has finished),
 //                  /statusz (HTML session report), /debug/slowqueries,
 //                  POST /debug/flightrecorder (non-destructive ring
 //                  snapshot), POST /debug/trace?start|stop.  After the
@@ -91,7 +94,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/AdminEndpoints.h"
-#include "engine/MetricsBridge.h"
 #include "fast/Explain.h"
 #include "fast/Export.h"
 #include "fast/Fast.h"
@@ -266,19 +268,9 @@ int main(int Argc, char **Argv) {
   if (MaxStates > 0)
     S.engine().Limits.MaxStates = static_cast<size_t>(MaxStates);
 
-  // Program-level counters ride the engine's native registry, alongside
-  // the bridged engine/solver/VM families.
-  obs::MetricsRegistry::Counter *ProgramRuns = S.engine().Metrics.counter(
-      "fast_program_runs", "Fast programs evaluated");
-  obs::MetricsRegistry::Counter *Assertions = S.engine().Metrics.counter(
-      "fast_assertions", "Assertions evaluated");
-  obs::MetricsRegistry::Counter *AssertionsFailed = S.engine().Metrics.counter(
-      "fast_assertions_failed", "Assertions that failed");
-
-  // One snapshot at exit serves --metrics and both --stats renderers, so
-  // every consumer reads the identical view of the telemetry plane.  The
-  // write goes through the flusher's atomic tmp+rename path so a reader
-  // racing the exit never sees a partial document.
+  // --metrics at exit.  The write goes through the flusher's atomic
+  // tmp+rename path so a reader racing the exit never sees a partial
+  // document.
   auto WriteMetrics = [&]() -> bool {
     if (!MetricsPath)
       return true;
@@ -369,13 +361,13 @@ int main(int Argc, char **Argv) {
     ProgramRunning.store(false);
     if (TracePath || ReportPath)
       S.tracer().closeTrace();
-    ProgramRuns->inc();
+    ++S.stats().ProgramRuns;
     WriteMetrics();
     std::cerr << "fastc: " << E.what() << "\n";
     return Finish(1);
   }
   ProgramRunning.store(false);
-  ProgramRuns->inc();
+  ++S.stats().ProgramRuns;
   if (TracePath || ReportPath)
     S.tracer().closeTrace();
   if (!R.DiagText.empty())
@@ -447,26 +439,24 @@ int main(int Argc, char **Argv) {
   unsigned Failed = R.failedAssertions();
   std::cout << R.Assertions.size() << " assertion(s), " << Failed
             << " failed\n";
-  Assertions->inc(R.Assertions.size());
-  AssertionsFailed->inc(Failed);
+  S.stats().Assertions += R.Assertions.size();
+  S.stats().AssertionsFailed += Failed;
   // A failed Fast assertion is an incident too: capture the window that
   // led to the failing witness (first incident wins).
   if (Failed != 0)
     S.tracer().recorder().dumpIncident("assertion failure");
-  if (Stats || StatsJson) {
-    // Deprecation shim: --stats/--stats-json render *from* the telemetry
-    // plane's snapshot, byte-compatible with the historical direct
-    // StatsRegistry/Solver output (gated by StatsShimTest).
-    obs::MetricsSnapshot Snap;
-    engine::collectSessionMetrics(S.engine(), Snap);
-    if (Stats) {
-      std::cout << engine::legacyStatsReport(Snap);
-      std::cout << engine::legacySolverLine(Snap) << "\n";
-      std::cout << S.tracer().slowQueries().report();
-    }
-    if (StatsJson)
-      std::cout << engine::legacyStatsJson(Snap) << "\n";
+  if (Stats) {
+    const Solver::Stats &Q = S.Solv.stats();
+    std::cout << S.stats().report();
+    std::cout << "solver: " << Q.Queries << " queries, " << Q.CacheHits
+              << " cache-hits, " << Q.CoreChecks << " core-checks, "
+              << Q.Z3Checks << " z3-checks, " << Q.FastPathAnswers
+              << " fast-path, " << Q.ScopedChecks << " scoped-checks, "
+              << Q.SubsumptionAnswers << " subsumption-answers\n";
+    std::cout << S.tracer().slowQueries().report();
   }
+  if (StatsJson)
+    std::cout << S.stats().json() << "\n";
   if (!WriteMetrics())
     return Finish(2);
 

@@ -18,7 +18,8 @@
 ///                             registry's slots lock for map iteration.
 ///   /healthz, /readyz         live — a constant and a caller-supplied
 ///                             readiness callback (the Session wrapper
-///                             wires it to Session::frozen()).
+///                             wires it to Session::frozen() and the
+///                             Quiescent gate).
 ///   /statusz, /debug/slowqueries
 ///                             published — served from a board that only
 ///                             publish() (a session-thread snapshot point)
@@ -61,7 +62,7 @@ struct AdminOptions {
   /// Page title for /statusz.
   std::string Title = "fast session";
   /// Readiness for /readyz; null or false -> 503.  The Session-owned
-  /// wrapper wires this to Session::frozen().
+  /// wrapper wires this to Session::frozen() && Quiescent().
   std::function<bool()> Ready;
   /// Gate for /debug/trace; null means always quiescent.  fastc wires
   /// this to "the program is not currently executing".

@@ -19,6 +19,10 @@
 /// latencies and slow queries, and FAST_TRACE / FAST_PROGRESS in the
 /// environment attach a sink / heartbeat stream without code changes.
 ///
+/// Stats (with the Solver's and the VM's stats structs) is the session's
+/// only counter store: engine/MetricsBridge.h exports it as metric
+/// families, and StatsRegistry::report()/json() render it for `--stats`.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FAST_ENGINE_ENGINE_H
@@ -28,7 +32,6 @@
 #include "engine/GuardCache.h"
 #include "engine/StateInterner.h"
 #include "engine/Stats.h"
-#include "obs/Metrics.h"
 #include "obs/Provenance.h"
 #include "obs/Tracer.h"
 
@@ -64,12 +67,6 @@ public:
   /// Budgets applied by every construction's Exploration; unlimited by
   /// default.  Exceeding one makes the construction throw ExplorationError.
   ExplorationLimits Limits;
-  /// Native metric handles of the telemetry plane (obs/Metrics.h).  The
-  /// bridged view of Stats / the Solver / VmStats is assembled on demand by
-  /// engine/MetricsBridge.h; this registry holds everything registered
-  /// directly (application counters, daemon request accounting).  Worker
-  /// contexts carry their own registry, merged at the join point.
-  obs::MetricsRegistry Metrics;
   /// Provenance anchors + rule-coverage ledger (see obs/Provenance.h);
   /// recording is off until Prov.setEnabled(true).
   obs::ProvenanceStore Prov;

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The adapter between the session's hot-path statistics structures
-/// (StatsRegistry / Solver::Stats / VmStats, which stay plain structs so
-/// recording remains a bare increment) and the telemetry plane's exposition
-/// model (obs/Metrics.h).  collectSessionMetrics() assembles one
-/// MetricsSnapshot covering:
+/// The one exporter of a session's counters.  The plain stats structs
+/// (StatsRegistry / Solver::Stats / VmStats, relaxed cells so recording
+/// remains a bare increment) are the only counter store;
+/// collectSessionMetrics() reads them into one MetricsSnapshot
+/// (obs/Metrics.h) covering:
 ///
 ///   fast_engine_*   per-construction counters (labelled by construction),
 ///                   wall time, and the guard-query / minterm-split
@@ -20,12 +20,12 @@
 ///                   compile/run latency histograms (always present, zeros
 ///                   when the VM never ran)
 ///   fast_flightrecorder_*  ring-buffer occupancy and drop accounting
-///   ...plus everything registered on SessionEngine::Metrics directly.
+///   fast_assertions / fast_assertions_failed / fast_program_runs
+///                   the StatsRegistry program counters (always present,
+///                   zeros when no driver recorded them)
 ///
-/// The legacy renderers reproduce the exact pre-telemetry-plane output of
-/// `fastc --stats` / `--stats-json` *from* a snapshot, so the deprecated
-/// flags keep byte-compatible output while reading through the new plane
-/// (regression-tested against StatsRegistry::report()/json()).
+/// `fastc --stats` / `--stats-json` print the same structs through
+/// StatsRegistry::report()/json().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,27 +34,14 @@
 
 #include "obs/Metrics.h"
 
-#include <string>
-
 namespace fast::engine {
 
 class SessionEngine;
 
 /// Appends every session metric family to \p Snap (see file comment).
 /// Family and sample order is deterministic: families in the fixed bridge
-/// order, construction labels in name order, native handles in name order.
+/// order, construction labels in name order.
 void collectSessionMetrics(const SessionEngine &Eng, obs::MetricsSnapshot &Snap);
-
-/// Renders StatsRegistry::report() byte-for-byte from a bridged snapshot.
-std::string legacyStatsReport(const obs::MetricsSnapshot &Snap);
-
-/// Renders StatsRegistry::json() byte-for-byte from a bridged snapshot.
-std::string legacyStatsJson(const obs::MetricsSnapshot &Snap);
-
-/// Renders the one-line solver summary `fastc --stats` appends, from the
-/// fast_solver_* families of a bridged snapshot (without the trailing
-/// newline, matching the historical "solver: ..." line body).
-std::string legacySolverLine(const obs::MetricsSnapshot &Snap);
 
 } // namespace fast::engine
 

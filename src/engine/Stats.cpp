@@ -44,6 +44,9 @@ void StatsRegistry::mergeFrom(const StatsRegistry &Other) {
   for (const auto &[Name, C] : Other.Constructions)
     construction(Name).mergeFrom(C);
   Vm.mergeFrom(Other.Vm);
+  ProgramRuns += Other.ProgramRuns;
+  Assertions += Other.Assertions;
+  AssertionsFailed += Other.AssertionsFailed;
 }
 
 ConstructionStats &StatsRegistry::construction(std::string_view Name) {

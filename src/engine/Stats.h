@@ -158,6 +158,13 @@ public:
   VmStats &vm() { return Vm; }
   const VmStats &vm() const { return Vm; }
 
+  /// Program-level counters, recorded by the `fastc` driver: Fast programs
+  /// evaluated, assertions evaluated, and assertions that failed.
+  /// Exported by collectSessionMetrics; report()/json() omit them.
+  RelaxedCell<uint64_t> ProgramRuns;
+  RelaxedCell<uint64_t> Assertions;
+  RelaxedCell<uint64_t> AssertionsFailed;
+
   /// Human-readable tables: counters per construction, then guard-query
   /// and minterm-split latency percentiles.
   std::string report() const;
@@ -165,12 +172,13 @@ public:
   /// Machine-readable single-line JSON object, keyed by construction name.
   std::string json() const;
 
-  /// Accumulates every construction slot of \p Other into this registry —
-  /// the join-point merge of a worker context's stats shard.  Commutative
+  /// Accumulates every construction slot, the VM slot and the program
+  /// counters of \p Other into this registry — the join-point merge of a
+  /// worker context's stats shard.  Commutative
   /// and associative, so merge order cannot influence final counters.
   void mergeFrom(const StatsRegistry &Other);
 
-  /// Zeroes every construction's counters in place.  Slots are never
+  /// Zeroes every counter in place.  Slots are never
   /// erased, so ConstructionStats references — including the ones held by
   /// active ConstructionScopes — stay valid across a reset; a scope alive
   /// during the reset simply continues accumulating into its zeroed slot.
@@ -179,6 +187,9 @@ public:
     for (auto &[Name, C] : Constructions)
       C = ConstructionStats();
     Vm = VmStats();
+    ProgramRuns = 0;
+    Assertions = 0;
+    AssertionsFailed = 0;
   }
 
   /// The session tracer construction scopes report spans to (null until

@@ -138,14 +138,6 @@ public:
 
   const std::vector<OwnedEvent> &events() const { return Events; }
 
-  /// Replays the buffered events into \p Sink in recorded order, with
-  /// their original timestamps.
-  void replayInto(TraceSink &Sink) const {
-    for (const OwnedEvent &E : Events)
-      Sink.event(TraceEvent{E.Phase, E.Name, E.Category, E.TsUs, E.DurUs,
-                            E.Attrs, E.Tid});
-  }
-
 private:
   std::vector<OwnedEvent> Events;
 };

@@ -31,9 +31,12 @@ bool SessionAdminServer::start(uint16_t Port, std::string *Error) {
     return true;
   engine::AdminOptions Opts;
   Opts.Title = Title;
-  // Readiness is the two-tier lifecycle: the shared tier being frozen is
-  // exactly the point from which concurrent readers are safe.
-  Opts.Ready = [this] { return S.frozen(); };
+  // Readiness is the two-tier lifecycle plus the quiescence gate: the
+  // shared tier being frozen is the point from which concurrent readers
+  // are safe, but a parallel run freezes before its assertion fan-out
+  // ends, so ready also waits for the host to report quiescence — the
+  // same condition /debug/trace gates on.
+  Opts.Ready = [this] { return S.frozen() && (!Quiescent || Quiescent()); };
   Opts.Quiescent = Quiescent;
   Opts.Decorate = Decorate;
   Admin = std::make_unique<engine::SessionAdmin>(S.engine(), std::move(Opts));

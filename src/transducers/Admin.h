@@ -10,9 +10,11 @@
 /// get the full admin endpoint set on a local port.  It owns the HTTP
 /// transport (obs::AdminServer) and the endpoint registrar
 /// (engine::SessionAdmin), and wires the /readyz probe to the session's
-/// two-tier lifecycle: ready means "the shared tier is frozen", i.e. the
-/// session has reached the state from which parallel workers — and any
-/// other concurrent reader — can safely operate.
+/// two-tier lifecycle: ready means "the shared tier is frozen and the host
+/// reports quiescence", i.e. the session has reached the state from which
+/// concurrent readers can safely operate and no program (including a
+/// parallel run's assertion fan-out, which starts after the freeze) is
+/// still running.  Readiness and the /debug/trace gate therefore agree.
 ///
 ///   fast::Session S;
 ///   fast::SessionAdminServer Admin(S);
@@ -47,8 +49,8 @@ public:
                               std::string Title = "fast session");
   ~SessionAdminServer();
 
-  /// Overrides the /debug/trace quiescence gate (default: always
-  /// quiescent).  Call before start().
+  /// Overrides the quiescence gate that /debug/trace and /readyz both
+  /// consult (default: always quiescent).  Call before start().
   void setQuiescent(std::function<bool()> Quiescent);
   /// Adds a /statusz decorator (assertions, witnesses).  Call before
   /// start().

@@ -97,9 +97,6 @@ void WorkerContext::mergeInto(Session &Base) {
   Base.Solv.mergeStatsFrom(Work.Solv);
   Base.tracer().slowQueries().mergeFrom(Work.tracer().slowQueries());
   Base.provenance().mergeCoverageFrom(Work.provenance());
-  // Native metric handles sum commutatively, exactly like the stats
-  // shards above.
-  Base.engine().Metrics.mergeFrom(Work.engine().Metrics);
 }
 
 void WorkerContext::mergeFlightRecorderInto(obs::FlightRecorder &BaseFr,

@@ -8,7 +8,8 @@
 //   AdminEndpointsTest       the session endpoint set served through a
 //                            SessionAdminServer on a quiescent session —
 //                            scrape validity, delta partitioning,
-//                            readiness, the trace quiescence gate.
+//                            readiness (frozen and quiescent), the
+//                            trace quiescence gate.
 //   ParallelAdminScrapeTest  scraper threads hammering /metrics,
 //                            /metrics.json and /statusz while a 4-thread
 //                            runFastProgram executes on the same session.
@@ -177,6 +178,23 @@ TEST(AdminEndpointsTest, ScrapesServeAndReadinessTracksFreeze) {
   ASSERT_TRUE(Slow.Ok && Slow.Status == 200);
   ASSERT_FALSE(Slow.Body.empty());
   EXPECT_EQ(Slow.Body[0], '[');
+}
+
+TEST(AdminEndpointsTest, ReadinessWaitsForTheQuiescenceGate) {
+  // A parallel run freezes the shared tier before its assertion fan-out
+  // ends: frozen alone must not read as ready while the host still
+  // reports a program running.
+  Session S;
+  std::atomic<bool> Quiescent{false};
+  SessionAdminServer Admin(S, "readiness test");
+  Admin.setQuiescent([&Quiescent] { return Quiescent.load(); });
+  ASSERT_TRUE(Admin.start(0));
+
+  S.freeze();
+  EXPECT_EQ(httpRequest(Admin.port(), "GET", "/readyz").Status, 503)
+      << "ready while the quiescence gate reports a running program";
+  Quiescent.store(true);
+  EXPECT_EQ(httpRequest(Admin.port(), "GET", "/readyz").Status, 200);
 }
 
 TEST(AdminEndpointsTest, DeltaScrapesPartitionTheCounterStream) {

@@ -1,10 +1,11 @@
 //===- tests/obs/MetricsTest.cpp - Telemetry plane: metrics ---------------===//
 //
-// Covers the MetricsRegistry handle layer (lock-free counters/gauges,
-// concurrent updates, shard merges), MetricsSnapshot exposition (Prometheus
-// text v0.0.4, the versioned JSON document, timing-family exclusion, delta
-// semantics), and the legacy --stats/--stats-json shim's byte-compatibility
-// with the original StatsRegistry renderers.
+// Covers MetricsSnapshot exposition (Prometheus text v0.0.4, the versioned
+// JSON document, timing-family exclusion, delta semantics), the session
+// exporter (collectSessionMetrics: subsystem coverage, the program
+// counters, -j1 vs -j4 byte identity), and the one --stats/--stats-json
+// renderer (StatsRegistry::report()/json()), pinned byte-for-byte by the
+// golden files stats_report.golden and stats_json.golden next to this file.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,10 +18,9 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <mutex>
+#include <fstream>
 #include <sstream>
-#include <thread>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -28,7 +28,6 @@ using namespace fast;
 using fast::obs::LatencyHistogram;
 using fast::obs::MetricFamily;
 using fast::obs::MetricKind;
-using fast::obs::MetricsRegistry;
 using fast::obs::MetricsSnapshot;
 
 namespace {
@@ -52,53 +51,6 @@ const char *statsProgram() {
          "tree sample : IList := (cons [1] (cons [2] (nil [0])))\n"
          "tree mapped : IList := (apply comp sample)\n"
          "assert-true mapped in not_emp_list\n";
-}
-
-TEST(MetricsRegistryTest, CountersAndGaugesRoundTrip) {
-  MetricsRegistry Reg;
-  MetricsRegistry::Counter *C = Reg.counter("fast_widgets", "Widgets made");
-  MetricsRegistry::Gauge *G = Reg.gauge("fast_depth", "Current depth");
-  C->inc();
-  C->inc(41);
-  G->set(7);
-  G->add(-3);
-  EXPECT_EQ(C->value(), 42u);
-  EXPECT_EQ(G->value(), 4);
-  // Handle addresses are stable: a second lookup returns the same slot.
-  EXPECT_EQ(Reg.counter("fast_widgets"), C);
-  EXPECT_EQ(Reg.gauge("fast_depth"), G);
-
-  MetricsSnapshot Snap;
-  Reg.snapshotInto(Snap);
-  const MetricFamily *CF = Snap.find("fast_widgets_total");
-  ASSERT_NE(CF, nullptr);
-  EXPECT_EQ(CF->Kind, MetricKind::Counter);
-  EXPECT_EQ(CF->Help, "Widgets made");
-  ASSERT_EQ(CF->Samples.size(), 1u);
-  EXPECT_EQ(CF->Samples[0].Value, 42.0);
-  const MetricFamily *GF = Snap.find("fast_depth");
-  ASSERT_NE(GF, nullptr);
-  EXPECT_EQ(GF->Kind, MetricKind::Gauge);
-  EXPECT_EQ(GF->Samples[0].Value, 4.0);
-}
-
-TEST(MetricsRegistryTest, MergeFromSumsShards) {
-  MetricsRegistry Base, Shard;
-  Base.counter("fast_shared")->inc(10);
-  Shard.counter("fast_shared")->inc(5);
-  Shard.counter("fast_worker_only", "Born in the shard")->inc(3);
-  Shard.gauge("fast_level")->set(2);
-  Base.mergeFrom(Shard);
-  EXPECT_EQ(Base.counter("fast_shared")->value(), 15u);
-  EXPECT_EQ(Base.counter("fast_worker_only")->value(), 3u);
-  EXPECT_EQ(Base.gauge("fast_level")->value(), 2);
-
-  MetricsSnapshot Snap;
-  Base.snapshotInto(Snap);
-  // Help strings travel with the merge for handles born in the shard.
-  const MetricFamily *F = Snap.find("fast_worker_only_total");
-  ASSERT_NE(F, nullptr);
-  EXPECT_EQ(F->Help, "Born in the shard");
 }
 
 TEST(MetricsSnapshotTest, PrometheusExposition) {
@@ -199,30 +151,6 @@ TEST(MetricsSnapshotTest, DeltaFromSubtracts) {
   EXPECT_EQ(Shrunk.find("fast_runs_total")->Samples[0].Value, 0.0);
 }
 
-TEST(StatsShimTest, LegacyRenderersAreByteCompatible) {
-  Session S;
-  FastProgramResult R = runFastProgram(S, statsProgram());
-  ASSERT_EQ(R.ErrorCount, 0u) << R.DiagText;
-  ASSERT_EQ(R.failedAssertions(), 0u);
-
-  MetricsSnapshot Snap;
-  engine::collectSessionMetrics(S.engine(), Snap);
-
-  // The deprecated --stats/--stats-json output is rendered *from* the new
-  // plane; it must reproduce the original renderers byte for byte.
-  EXPECT_EQ(engine::legacyStatsReport(Snap), S.stats().report());
-  EXPECT_EQ(engine::legacyStatsJson(Snap), S.stats().json());
-
-  const Solver::Stats &Sv = S.Solv.stats();
-  std::ostringstream Line;
-  Line << "solver: " << Sv.Queries << " queries, " << Sv.CacheHits
-       << " cache-hits, " << Sv.CoreChecks << " core-checks, " << Sv.Z3Checks
-       << " z3-checks, " << Sv.FastPathAnswers << " fast-path, "
-       << Sv.ScopedChecks << " scoped-checks, " << Sv.SubsumptionAnswers
-       << " subsumption-answers";
-  EXPECT_EQ(engine::legacySolverLine(Snap), Line.str());
-}
-
 TEST(StatsShimTest, SnapshotCoversAllSubsystems) {
   Session S;
   FastProgramResult R = runFastProgram(S, statsProgram());
@@ -246,51 +174,119 @@ TEST(StatsShimTest, SnapshotCoversAllSubsystems) {
   EXPECT_GT(Total, 0);
 }
 
-// "Parallel"-prefixed so the TSan preset's ctest filter picks these up.
+TEST(StatsRegistryTest, ProgramCountersMergeResetAndExportLast) {
+  engine::StatsRegistry Shard;
+  ++Shard.ProgramRuns;
+  Shard.Assertions += 5;
+  Shard.AssertionsFailed += 2;
 
-TEST(ParallelMetricsTest, ConcurrentHandleUpdatesAreExact) {
-  MetricsRegistry Reg;
-  MetricsRegistry::Counter *C = Reg.counter("fast_hits");
-  MetricsRegistry::Gauge *G = Reg.gauge("fast_balance");
-  constexpr unsigned Threads = 4;
-  constexpr uint64_t PerThread = 50000;
-  std::vector<std::thread> Pool;
-  for (unsigned T = 0; T < Threads; ++T)
-    Pool.emplace_back([&] {
-      for (uint64_t I = 0; I < PerThread; ++I) {
-        C->inc();
-        G->add(1);
-      }
-    });
-  for (std::thread &T : Pool)
-    T.join();
-  EXPECT_EQ(C->value(), Threads * PerThread);
-  EXPECT_EQ(G->value(), int64_t(Threads * PerThread));
-}
+  Session S;
+  engine::StatsRegistry &Base = S.stats();
+  ++Base.ProgramRuns;
+  Base.Assertions += 1;
+  Base.mergeFrom(Shard);
+  EXPECT_EQ(Base.ProgramRuns, 2u);
+  EXPECT_EQ(Base.Assertions, 6u);
+  EXPECT_EQ(Base.AssertionsFailed, 2u);
 
-TEST(ParallelMetricsTest, WorkerShardsMergeConcurrently) {
-  // Four shards merging into one base from four threads — the pattern at
-  // a parallel run's task-end merge (serialized there by the merge mutex;
-  // mergeFrom itself must still be safe against concurrent hot-path
-  // updates on the source registry's handles).
-  MetricsRegistry Base;
-  constexpr unsigned Shards = 4;
-  std::vector<std::unique_ptr<MetricsRegistry>> Workers;
-  for (unsigned T = 0; T < Shards; ++T) {
-    Workers.push_back(std::make_unique<MetricsRegistry>());
-    Workers.back()->counter("fast_tasks")->inc(T + 1);
+  MetricsSnapshot Snap;
+  engine::collectSessionMetrics(S.engine(), Snap);
+  // Emitted last, under the names, help strings and order the fastc
+  // counters have always been exported with.
+  struct Expected {
+    const char *Name, *Help;
+    double Value;
+  } Tail[] = {
+      {"fast_assertions_total", "Assertions evaluated", 6},
+      {"fast_assertions_failed_total", "Assertions that failed", 2},
+      {"fast_program_runs_total", "Fast programs evaluated", 2},
+  };
+  const std::vector<MetricFamily> &Families = Snap.families();
+  ASSERT_GE(Families.size(), 3u);
+  for (size_t I = 0; I < 3; ++I) {
+    const MetricFamily &F = Families[Families.size() - 3 + I];
+    EXPECT_EQ(F.Name, Tail[I].Name);
+    EXPECT_EQ(F.Help, Tail[I].Help);
+    EXPECT_EQ(F.Kind, MetricKind::Counter);
+    ASSERT_EQ(F.Samples.size(), 1u);
+    EXPECT_EQ(F.Samples[0].Value, Tail[I].Value);
   }
-  std::mutex MergeMutex;
-  std::vector<std::thread> Pool;
-  for (unsigned T = 0; T < Shards; ++T)
-    Pool.emplace_back([&, T] {
-      std::lock_guard<std::mutex> Lock(MergeMutex);
-      Base.mergeFrom(*Workers[T]);
-    });
-  for (std::thread &T : Pool)
-    T.join();
-  EXPECT_EQ(Base.counter("fast_tasks")->value(), 1u + 2 + 3 + 4);
+
+  Base.reset();
+  EXPECT_EQ(Base.ProgramRuns, 0u);
+  EXPECT_EQ(Base.Assertions, 0u);
+  EXPECT_EQ(Base.AssertionsFailed, 0u);
 }
+
+std::string readGolden(const char *Name) {
+  std::ifstream In(std::string(FAST_TESTS_SOURCE_DIR) + "/obs/" + Name,
+                   std::ios::binary);
+  EXPECT_TRUE(In) << "missing golden file tests/obs/" << Name;
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
+}
+
+TEST(StatsRendererTest, ReportAndJsonMatchGoldenFiles) {
+  // A hand-filled registry with every section populated: two construction
+  // rows, fixed wall times, fixed latency samples (so the latency table
+  // renders) and a non-empty VM slot.  On an intended format change,
+  // replace the golden files with the new report()/json() output.
+  engine::StatsRegistry Reg;
+  engine::ConstructionStats &C = Reg.construction("compose");
+  C.Runs = 3;
+  C.StatesExplored = 120;
+  C.StatesInterned = 95;
+  C.RulesEmitted = 240;
+  C.SatQueries = 410;
+  C.SatCacheHits = 301;
+  C.MintermSplits = 17;
+  C.MintermCacheHits = 9;
+  C.MintermsProduced = 44;
+  C.TrieNodesDecided = 63;
+  C.TrieNodeHits = 28;
+  C.TrieSubsumed = 5;
+  C.WallMs = 12.34;
+  for (double Us : {0.5, 3.0, 3.0, 20.0, 150.0})
+    C.SolverQueryUs.record(Us);
+  for (double Us : {7.0, 64.0})
+    C.MintermSplitUs.record(Us);
+  engine::ConstructionStats &D = Reg.construction("determinize");
+  D.Runs = 1;
+  D.StatesExplored = 8;
+  D.StatesInterned = 6;
+  D.RulesEmitted = 14;
+  D.SatQueries = 22;
+  D.SatCacheHits = 4;
+  D.MintermSplits = 2;
+  D.MintermCacheHits = 1;
+  D.MintermsProduced = 5;
+  D.TrieNodesDecided = 7;
+  D.TrieNodeHits = 3;
+  D.TrieSubsumed = 1;
+  D.WallMs = 0.5;
+  D.SolverQueryUs.record(1000.0);
+  engine::VmStats &V = Reg.vm();
+  V.ProgramsCompiled = 2;
+  V.Ineligible = 1;
+  V.CacheHits = 6;
+  V.Runs = 9;
+  V.FallbackRuns = 1;
+  V.Instructions = 12345;
+  V.MemoHits = 77;
+  V.LookaheadChecks = 13;
+  V.ArenaNodes = 640;
+  V.InternedNodes = 512;
+  for (double Us : {250.0, 900.0})
+    V.CompileUs.record(Us);
+  for (double Us : {10.0, 12.0, 40.0, 3000.0})
+    V.RunUs.record(Us);
+
+  EXPECT_EQ(Reg.report(), readGolden("stats_report.golden"));
+  EXPECT_EQ(Reg.json() + "\n", readGolden("stats_json.golden"));
+}
+
+// "Parallel"-prefixed so the TSan preset's ctest filter picks these up.
 
 TEST(ParallelMetricsTest, SnapshotsAreByteIdenticalAcrossThreadCounts) {
   // The determinism contract of the whole plane: a -j1 run and a -j4 run

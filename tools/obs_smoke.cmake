@@ -1,5 +1,6 @@
-# Runs fastc with tracing enabled on a real program, then validates the
-# produced trace with trace_check.  Invoked by the obs.smoke ctest as
+# Runs fastc with tracing and --stats enabled on a real program, checks
+# the --stats tables on stdout, then validates the produced trace with
+# trace_check.  Invoked by the obs.smoke ctest as
 #   cmake -DFASTC=... -DTRACE_CHECK=... -DPROGRAM=... -DOUT_DIR=... -P obs_smoke.cmake
 #
 # sanitizer.fast intentionally fails one assertion, so fastc exiting 1 is
@@ -23,6 +24,17 @@ foreach(Trace obs_smoke.json obs_smoke.jsonl)
   if(RunResult GREATER 1)
     message(FATAL_ERROR
       "fastc --trace=${TraceFile} failed (exit ${RunResult}):\n${RunOut}${RunErr}")
+  endif()
+  # --stats prints StatsRegistry::report() and the solver traffic line
+  # directly; both must be on stdout.
+  if(NOT RunOut MATCHES "construction +runs +explored +interned +rules")
+    message(FATAL_ERROR
+      "fastc --stats output lacks the construction table header:\n${RunOut}")
+  endif()
+  if(NOT RunOut MATCHES
+     "solver: [0-9]+ queries, [0-9]+ cache-hits, [0-9]+ core-checks, [0-9]+ z3-checks, [0-9]+ fast-path, [0-9]+ scoped-checks, [0-9]+ subsumption-answers")
+    message(FATAL_ERROR
+      "fastc --stats output lacks the solver traffic line:\n${RunOut}")
   endif()
   execute_process(
     COMMAND "${TRACE_CHECK}" "${TraceFile}"
